@@ -21,65 +21,52 @@ lint-examples:
 		echo "examples/ must import only the public fvcache package"; exit 1; \
 	fi
 
-# check is the full robustness gate (see ROADMAP.md "Tier-1 verify"):
-# vet, the examples import lint, build (with telemetry on and compiled
-# out), the race-enabled test suite (which includes the fvcached
-# service e2e tests: request coalescing, 429 backpressure, graceful
-# drain, deadlines, the circuit breaker, and the chaos detection
-# matrix over the durable result cache), a race-enabled rerun of the
-# chunk-parallel seam-equivalence suite (workers racing over shared
-# chunk columns must stay bit-identical to serial), a short fuzz smoke
-# run over the hardened trace reader, the columnar chunk codec, and
-# the result-cache entry codec, the telemetry-overhead gate (the
-# steady-state replay loops — serial, fused batch, and the per-worker
-# parallel chunk loop — and the result-cache hit path must stay
-# allocation-free with telemetry compiled in, and the exported
-# telemetry.json must validate end to end), the service smoke and
-# crash-recovery runs (boot fvcached, measure over HTTP, SIGKILL it
-# over a durable cache, restart, prove quarantine + bit-identical
-# recompute), a single-iteration pass over every benchmark so the
-# benchmark corpus cannot rot, and a sanity pass over the committed
-# sweep-engine artifact (it must parse, every speedup layer must hold
-# its core-count-aware threshold — including the analytic miss-rate-
-# curve pass's 5x bar over the ladder replay — the steady-state
-# allocation counts must be zero, the compression ratio must beat the
-# raw columns, and its telemetry snapshot must validate). The mrc
-# zero-alloc gate pins both analytic hot loops: the banked Mattson
-# stack update and the fused direct-mapped table walk. The request-
-# observability additions gate here too: an obsoff build + test of the
-# reqtrace layer, the span hot path's zero-alloc pin with telemetry
-# compiled in, the race-enabled flight-recorder test, a serveload
-# smoke against a booted fvcached (TestServeLoadSmoke), and schema
-# validation of the committed BENCH_serve.json artifact. The fleet
-# additions gate here as well: a race-enabled fleet smoke (3-node
-# ownership + bit-identity, node-kill fallback + re-join, debug
-# endpoints), an obsoff build + test of the public api and client
-# packages, and the serveload -verify run now also checks the fleet
-# lane (forward ratio vs (n-1)/n, single ownership, fleet hit ratio).
+# check is the full robustness gate (see ROADMAP.md "Tier-1 verify").
+# Each gate line below carries its own comment.
 check: vet lint-examples build
+# the build with telemetry compiled out
 	$(GO) build -tags obsoff ./...
+# the whole suite under the race detector, fvcached e2e tests included
 	$(GO) test -race ./...
+# the chaos detection matrix over the durable result cache
 	$(GO) test -race -count=1 -run='TestChaos' ./internal/resultcache
-	$(GO) test -race -count=1 -run='TestParallelReplayEquivalence|TestParallelReplayChunkSizeSweep' ./internal/sim
+# config-sharded replay: shards racing over the shared recording stay bit-identical to serial
+	$(GO) test -race -count=1 -run='TestParallelReplay|TestPlanShards' ./internal/sim
+# the request flight recorder under concurrent writers
 	$(GO) test -race -count=1 -run='TestRecorderConcurrency' ./internal/obs/reqtrace
+# 3-node fleet: ownership and bit-identity, node-kill fallback and re-join, debug endpoints
 	$(GO) test -race -count=1 -run='TestFleet' ./internal/serve
+# the consistent-hash ring and the per-peer breakers
 	$(GO) test -race -count=1 ./internal/fleet
+# telemetry compiled out: the instrumented packages and the public api and client
 	$(GO) test -tags obsoff ./internal/obs ./internal/obs/reqtrace ./internal/serve ./internal/sim ./internal/core ./internal/mrc ./api ./client
+# fuzz smoke: the hardened trace reader
 	$(GO) test ./internal/trace -run='^$$' -fuzz=FuzzReader -fuzztime=5s
+# fuzz smoke: the columnar chunk codec
 	$(GO) test ./internal/trace -run='^$$' -fuzz=FuzzColumnCodec -fuzztime=5s
+# fuzz smoke: the result-cache entry codec
 	$(GO) test ./internal/resultcache -run='^$$' -fuzz=FuzzResultEntry -fuzztime=5s
+# zero allocs with telemetry on: serial, fused batch and per-shard replay loops
 	$(GO) test -count=1 -run='TestReplayAccessPathZeroAllocs|TestBatchReplayZeroAllocs|TestParallelSteadyReplayZeroAllocs' ./internal/sim
+# zero allocs: steady-state chunk decoding
 	$(GO) test -count=1 -run='TestChunkedDecodeZeroAllocsSteadyState' ./internal/trace
+# zero allocs: the banked Mattson stack update and the direct-mapped table walk
 	$(GO) test -count=1 -run='TestMRCSteadyZeroAllocs|TestMRCDMSteadyZeroAllocs' ./internal/mrc
+# zero allocs: the result-cache hit path
 	$(GO) test -count=1 -run='TestResultCacheHitZeroAllocs' ./internal/resultcache
+# zero allocs: the request span hot path
 	$(GO) test -count=1 -run='TestSpanHotPathZeroAllocs' ./internal/obs/reqtrace
+# telemetry.json validation, fvcached smoke and crash recovery, serveload smoke
 	$(GO) test -count=1 -run='TestTelemetry|TestServiceSmoke|TestCrashRecovery|TestServeLoadSmoke' .
+# one iteration of every benchmark, so the benchmark corpus cannot rot
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+# the committed sweep artifact: core-aware speedup bars, zero allocs, valid telemetry
 	$(GO) run ./cmd/benchsweep -verify BENCH_sweep.json
+# the committed serving artifact, fleet lane included
 	$(GO) run ./cmd/serveload -verify BENCH_serve.json
 
 # bench measures the sweep-engine layers (per-config replay, the fused
-# batch, and the chunk-parallel replay) against live execution and
+# batch, and the config-sharded replay) against live execution and
 # writes the BENCH_sweep.json artifact, plus the run's telemetry.json
 # snapshot next to it.
 bench:

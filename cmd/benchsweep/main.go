@@ -9,12 +9,12 @@
 // shared recording cache and replays it once per configuration;
 // "batch" replays the recording exactly once, driving every
 // configuration in lockstep through the fused SystemSet engine;
-// "parallel" adds the chunk-parallel layer on top, splitting the one
-// fused replay across -workers cores seeded from columnar chunk
-// checkpoints. The artifact also reports the steady-state allocation
-// counts of both replay paths (which the de-allocated access loops
-// keep at zero), the machine's core count, and the columnar trace's
-// compressed bytes per access.
+// "parallel" adds the config-sharded layer on top, splitting the
+// configurations across -workers shards that each run the fused replay
+// over the shared recording. The artifact also reports the
+// steady-state allocation counts of both replay paths (which the
+// de-allocated access loops keep at zero), the machine's core count,
+// and the columnar trace's compressed bytes per access.
 //
 // A second pair of lanes races the analytic miss-rate-curve engine
 // (internal/mrc) against the fused batch replay of a fig10-style
@@ -78,8 +78,8 @@ type report struct {
 	Cores int `json:"cores"`
 	// CompressedBytesPerAccess is the columnar chunk encoding's
 	// footprint (store bitset + delta'd addrs + frame-of-reference
-	// values + checkpoint deltas) per recorded access. The raw columns
-	// cost 9 bytes per access.
+	// values) per recorded access. The raw columns cost 9 bytes per
+	// access.
 	CompressedBytesPerAccess float64 `json:"compressed_bytes_per_access"`
 
 	// SteadyReplayAllocs counts heap allocations per full recording
@@ -351,10 +351,11 @@ func run(ctx context.Context, out string, workers int) error {
 // regression in the exporter cannot ship unnoticed.
 //
 // The parallel_speedup threshold is core-count aware: with two or more
-// cores the chunk-parallel lane must genuinely beat the fused batch
+// cores the config-sharded lane must genuinely beat the fused batch
 // replay (>= 1.2x); on a single core no speedup is physically possible,
-// so the gate instead bounds the checkpoint/splice overhead
-// (>= 0.6x, i.e. at most ~1.7x slower than batch).
+// so the gate instead bounds the shard overhead (>= 0.6x, i.e. at most
+// ~1.7x slower than batch): each shard walks the columns and rebuilds
+// the memory image on its own.
 func verify(path string) error {
 	buf, err := os.ReadFile(path)
 	if err != nil {

@@ -128,17 +128,14 @@ func run() (code int) {
 	}
 
 	sv := serve.New(serve.Options{
-		Workers: cf.Workers,
-		// -workers also sets the chunk-parallel replay width of each
-		// batch execution (0 lets serve default it to the pool size).
-		ReplayParallelism: cf.Workers,
-		QueueDepth:        *queue,
-		CoalesceWindow:    *window,
-		RequestTimeout:    *reqLimit,
-		DefaultDeadline:   time.Duration(*deadlineMS) * time.Millisecond,
-		TraceRing:         *traceRing,
-		StartUnready:      true, // ready once the cache recovery scan finishes
-		Fleet:             fl,
+		Workers:         cf.Workers,
+		QueueDepth:      *queue,
+		CoalesceWindow:  *window,
+		RequestTimeout:  *reqLimit,
+		DefaultDeadline: time.Duration(*deadlineMS) * time.Millisecond,
+		TraceRing:       *traceRing,
+		StartUnready:    true, // ready once the cache recovery scan finishes
+		Fleet:           fl,
 	})
 	httpSrv := &http.Server{Handler: sv.Handler()}
 	fmt.Printf("fvcached listening on %s\n", ln.Addr())

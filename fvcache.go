@@ -153,13 +153,14 @@ type Options struct {
 	// AuditEvery re-checks the hierarchy's structural invariants every
 	// N accesses (0 disables auditing).
 	AuditEvery uint64 `json:"audit_every,omitempty"`
-	// Parallelism, when positive, replays the measurement's recording
-	// chunk-parallel on up to that many workers (seeded from per-chunk
-	// memory checkpoints, seam-spliced exactly — results stay
-	// bit-identical to a serial replay). 0 replays serially. Excluded
-	// from JSON serialization on purpose: parallelism does not change
-	// results, so it must not fragment request-coalescing or
-	// result-cache keys derived from these options.
+	// Parallelism, when greater than 1, shards a MeasureBatch's
+	// configurations across up to that many workers, each replaying
+	// the recording through the serial fused engine, with results
+	// bit-identical to a serial replay. Measure has one configuration
+	// and always replays serially. Excluded from JSON serialization on
+	// purpose: parallelism does not change results, so it must not
+	// fragment request-coalescing or result-cache keys derived from
+	// these options.
 	Parallelism int `json:"-"`
 }
 
@@ -201,15 +202,6 @@ func Measure(ctx context.Context, req MeasureRequest) (MeasureResult, error) {
 	rec, err := sim.Recordings.Get(w, req.Scale)
 	if err != nil {
 		return MeasureResult{}, err
-	}
-	if req.Options.Parallelism > 0 {
-		// The chunk-parallel engine lives behind the batch entry point;
-		// a single configuration is a batch of one.
-		out, err := sim.MeasureRecordedBatch(rec, []core.Config{req.Config}, req.Options.simOptions(ctx, ""))
-		if err != nil {
-			return MeasureResult{}, err
-		}
-		return out[0], nil
 	}
 	return sim.MeasureRecorded(rec, req.Config, req.Options.simOptions(ctx, ""))
 }

@@ -200,8 +200,7 @@ func (s Stats) Minus(o Stats) Stats {
 	}
 }
 
-// Plus returns the sum s + o, field by field. The chunk-parallel
-// replay engine accumulates per-range partial stats with it.
+// Plus returns the sum s + o, field by field (the inverse of Minus).
 func (s Stats) Plus(o Stats) Stats {
 	return Stats{
 		Loads:             s.Loads + o.Loads,

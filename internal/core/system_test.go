@@ -361,3 +361,11 @@ func TestFVCNeverHurtsWithoutAllocation(t *testing.T) {
 		t.Errorf("FVC increased misses: %d > %d", aug.Stats().Misses, base.Stats().Misses)
 	}
 }
+
+func TestStatsPlusMinus(t *testing.T) {
+	a := Stats{Loads: 10, Stores: 5, MainHits: 7, Misses: 8, TrafficWords: 100, L2Hits: 3}
+	b := Stats{Loads: 1, Stores: 2, MainHits: 3, Misses: 4, TrafficWords: 50, L2Hits: 1}
+	if got := a.Plus(b).Minus(b); got != a {
+		t.Fatalf("Plus/Minus not inverse: %+v", got)
+	}
+}

@@ -120,9 +120,6 @@ func (ss *SystemSet) Systems() []*System { return ss.systems }
 // Len returns the number of member systems.
 func (ss *SystemSet) Len() int { return len(ss.systems) }
 
-// Memory returns the shared architectural memory image (for tests).
-func (ss *SystemSet) Memory() *memsim.Memory { return ss.mem }
-
 // Access drives one access event through every member system, then
 // advances the shared memory image. Non-access ops are ignored.
 func (ss *SystemSet) Access(op trace.Op, addr, value uint32) {

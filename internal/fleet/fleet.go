@@ -46,8 +46,9 @@ type Options struct {
 	// Cooldown is how long a down peer stays down before a half-open
 	// probe is allowed (default 5s).
 	Cooldown time.Duration
-	// now overrides the clock in tests.
-	now func() time.Time
+	// Now overrides the breaker clock (nil means time.Now), so tests
+	// can expire a cooldown without sleeping through it.
+	Now func() time.Time
 }
 
 // PeerState describes a peer's health.
@@ -109,8 +110,8 @@ func New(opt Options) (*Fleet, error) {
 	if opt.Cooldown <= 0 {
 		opt.Cooldown = 5 * time.Second
 	}
-	if opt.now == nil {
-		opt.now = time.Now
+	if opt.Now == nil {
+		opt.Now = time.Now
 	}
 
 	self, err := normalizeURL(opt.Self)
@@ -182,7 +183,7 @@ func (f *Fleet) State(p *Peer) PeerState {
 	switch {
 	case du == 0:
 		return StateUp
-	case f.opt.now().UnixNano() < du:
+	case f.opt.Now().UnixNano() < du:
 		return StateDown
 	default:
 		return StateProbing
@@ -210,7 +211,7 @@ func (f *Fleet) ReportFailure(p *Peer) {
 	wasProbing := p.downUntil.Load() != 0
 	n := p.fails.Add(1)
 	if wasProbing || int(n) >= f.opt.FailThreshold {
-		p.downUntil.Store(f.opt.now().Add(f.opt.Cooldown).UnixNano())
+		p.downUntil.Store(f.opt.Now().Add(f.opt.Cooldown).UnixNano())
 	}
 }
 
@@ -230,7 +231,7 @@ type PeerSnapshot struct {
 // /debug/fleet.
 func (f *Fleet) Snapshot() []PeerSnapshot {
 	share := map[*Peer]float64{}
-	const whole = float64(1 << 63) * 2 // 2^64
+	const whole = float64(1<<63) * 2 // 2^64
 	for i, vn := range f.ring {
 		// The arc ending at vn.hash (owned by vn.peer) starts at the
 		// previous vnode's hash; the first arc wraps from the last.

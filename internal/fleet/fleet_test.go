@@ -94,7 +94,7 @@ func TestHealthBreaker(t *testing.T) {
 	f := mustNew(t, Options{
 		Self: threePeers[0], Peers: threePeers,
 		FailThreshold: 3, Cooldown: 5 * time.Second,
-		now: func() time.Time { return now },
+		Now: func() time.Time { return now },
 	})
 	var peer *Peer
 	for _, p := range f.Peers() {

@@ -34,7 +34,7 @@ type CommonFlags struct {
 	// ScaleName is the raw -scale value; resolve it with Scale().
 	ScaleName string
 	// Workers is -workers (0 = all cores): the worker-pool width for
-	// simulation fan-out, chunk-parallel replay, and MRC per-set stack
+	// simulation fan-out, config-sharded replay, and MRC per-set stack
 	// sharding alike.
 	Workers int
 	// Timeout is -timeout (0 = none).
@@ -53,7 +53,7 @@ func AddCommonFlags(fs *flag.FlagSet, which FlagSet, scaleDefault string) *Commo
 	}
 	if which&FlagWorkers != 0 {
 		fs.IntVar(&cf.Workers, "workers", 0,
-			"parallelism: simulation fan-out, chunk-parallel replay, and MRC stack sharding (0 = all cores)")
+			"parallelism: simulation fan-out, config-sharded replay, and MRC stack sharding (0 = all cores)")
 	}
 	if which&FlagTimeout != 0 {
 		fs.DurationVar(&cf.Timeout, "timeout", 0, "abort the run after this duration (0 = none)")

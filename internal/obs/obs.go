@@ -79,22 +79,12 @@ var (
 	// SweepTaskMS is the distribution of sweep task wall-clock times in
 	// milliseconds.
 	SweepTaskMS = Default.Histogram("sweep_task_ms")
-	// ReplayChunks counts compressed chunks decoded by the
-	// chunk-parallel replay engine (across all workers).
-	ReplayChunks = Default.Counter("replay_chunks_decoded_total")
-	// ParallelReplays counts batches routed through the chunk-parallel
-	// engine; ParallelFallbacks counts batches that requested
-	// parallelism but fell back to the serial fused path (online-FVT
-	// configs, or too few chunks to split).
-	ParallelReplays   = Default.Counter("replay_parallel_total")
-	ParallelFallbacks = Default.Counter("replay_parallel_fallbacks_total")
-	// ParallelRanges counts per-worker chunk ranges replayed.
-	ParallelRanges = Default.Counter("replay_parallel_ranges_total")
-	// SeamMatches / SeamReruns count seam validations where the
-	// speculatively warmed entry state matched the previous range's
-	// exit state vs. ranges that had to be re-run exactly.
-	SeamMatches = Default.Counter("replay_seam_matches_total")
-	SeamReruns  = Default.Counter("replay_seam_reruns_total")
+	// ParallelReplays counts batches replayed config-sharded
+	// (sim.MeasureOptions.Parallelism > 1 with more than one config);
+	// ShardReplays counts the shards they ran, so the ratio is the mean
+	// shard count and a zero ShardReplays means nothing was sharded.
+	ParallelReplays = Default.Counter("replay_parallel_total")
+	ShardReplays    = Default.Counter("replay_shards_total")
 	// MRCPasses counts single-pass reuse-distance analyses
 	// (mrc.Analyze calls); MRCLines counts line-address accesses fed
 	// through the Mattson stacks, summed across every model and shard

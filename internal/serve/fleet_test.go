@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"net"
 	"net/http"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -59,7 +60,7 @@ func startFleet(t *testing.T, n int, fo fleet.Options, so Options) []*fleetNode 
 	for i := range nodes {
 		fl, err := fleet.New(fleet.Options{
 			Self: urls[i], Peers: urls,
-			VNodes: fo.VNodes, FailThreshold: fo.FailThreshold, Cooldown: fo.Cooldown,
+			VNodes: fo.VNodes, FailThreshold: fo.FailThreshold, Cooldown: fo.Cooldown, Now: fo.Now,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -177,8 +178,14 @@ func TestFleetSingleOwnershipBitIdentical(t *testing.T) {
 }
 
 func TestFleetFallbackAndRejoin(t *testing.T) {
+	// The breakers run on a test clock that only moves when the test
+	// advances it, so no amount of wall time (a slow -race run) can
+	// expire the cooldown early.
+	const cooldown = 300 * time.Millisecond
+	var clock atomic.Int64
 	nodes := startFleet(t, 3,
-		fleet.Options{FailThreshold: 1, Cooldown: 300 * time.Millisecond},
+		fleet.Options{FailThreshold: 1, Cooldown: cooldown,
+			Now: func() time.Time { return time.Unix(0, clock.Load()) }},
 		Options{CoalesceWindow: time.Millisecond})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
@@ -247,11 +254,13 @@ func TestFleetFallbackAndRejoin(t *testing.T) {
 		t.Errorf("victim peer not marked down on node 0 after repeated failures")
 	}
 
-	// Re-join: the owner comes back on its advertised address. After
-	// the cooldown admits a probe, forwarding must resume.
+	// Re-join: the owner comes back on its advertised address. Once
+	// the cooldown elapses a probe is admitted and forwarding must
+	// resume. Each attempt advances the clock past the cooldown, so a
+	// probe that lost a race with the restart is retried.
 	victim.restart(t)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
+	for attempt := 0; ; attempt++ {
+		clock.Add(int64(cooldown) + 1)
 		got, err := nodes[0].cli.Measure(ctx, req)
 		if err != nil {
 			t.Fatalf("measure after re-join: %v", err)
@@ -262,7 +271,7 @@ func TestFleetFallbackAndRejoin(t *testing.T) {
 			}
 			break
 		}
-		if time.Now().After(deadline) {
+		if attempt == 20 {
 			t.Fatalf("forwarding never resumed after re-join (still executing on %s)", got.Batch.Node)
 		}
 		time.Sleep(50 * time.Millisecond)
@@ -316,9 +325,9 @@ func TestFleetDebugEndpoints(t *testing.T) {
 	}
 	defer resp2.Body.Close()
 	var agg struct {
-		Fleet  bool     `json:"fleet"`
-		Nodes  []string `json:"nodes"`
-		Failed []string `json:"failed_nodes"`
+		Fleet    bool     `json:"fleet"`
+		Nodes    []string `json:"nodes"`
+		Failed   []string `json:"failed_nodes"`
 		Snapshot struct {
 			Counters map[string]uint64 `json:"counters"`
 		} `json:"snapshot"`

@@ -208,7 +208,7 @@ func (s *Server) runMRCFlight(f *mrcFlight, key string, req fvcache.MRCRequest) 
 // execMRCPass is the default execMRC hook: one sharded Mattson pass
 // through the public facade.
 func (s *Server) execMRCPass(ctx context.Context, req fvcache.MRCRequest) (*fvcache.MRCResult, error) {
-	req.Shards = s.opt.ReplayParallelism
+	req.Shards = s.opt.Workers
 	return fvcache.MissRateCurves(ctx, req)
 }
 

@@ -86,12 +86,6 @@ type Options struct {
 	MaxBatchConfigs int
 	// MaxSweeps bounds concurrent /v1/sweep executions (<=0 means 2).
 	MaxSweeps int
-	// ReplayParallelism is the chunk-parallel replay width applied to
-	// batch executions whose request options don't set one (<=0 means
-	// Workers). Parallelism never changes results, so it participates
-	// in neither coalescing keys nor result-cache keys.
-	ReplayParallelism int
-
 	// DefaultDeadline is the per-request deadline applied when a
 	// request carries none of its own (<=0 means no default; the batch
 	// is still bounded by RequestTimeout).
@@ -126,9 +120,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.ReplayParallelism <= 0 {
-		o.ReplayParallelism = o.Workers
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 64
@@ -674,9 +665,12 @@ func (s *Server) execBatch(ctx context.Context, b *batch) ([]fvcache.MeasureResu
 		}
 		cfgs[j] = cw.Materialize(values)
 	}
+	// Shard the batch's configurations across the worker pool's width.
+	// Parallelism never changes results, so it participates in neither
+	// coalescing keys nor result-cache keys.
 	opts := b.opts
 	if opts.Parallelism == 0 {
-		opts.Parallelism = s.opt.ReplayParallelism
+		opts.Parallelism = s.opt.Workers
 	}
 	fresh, err := fvcache.MeasureBatch(ctx, fvcache.MeasureBatchRequest{
 		Workload: b.workload, Scale: b.scale, Configs: cfgs, Options: opts,

@@ -26,27 +26,38 @@ import (
 // resulting Stats are bit-identical to MeasureRecorded for every
 // configuration. Unlike the per-config path, a failure (audit
 // violation or simulator panic) aborts the whole batch.
+//
+// With opt.Parallelism > 1 and more than one configuration, the
+// configurations are sharded across up to Parallelism workers, each
+// running this same fused pass over the shared columns (see
+// measureSharded); results are bit-identical either way.
 func MeasureRecordedBatch(rec *trace.Recording, cfgs []core.Config, opt MeasureOptions) ([]MeasureResult, error) {
 	if err := ctxErr(opt.Ctx, "batch replay"); err != nil {
 		return nil, err
 	}
-	if opt.Parallelism > 0 {
-		out, handled, err := measureRecordedParallel(rec, cfgs, opt)
-		if handled || err != nil {
-			return out, err
-		}
-		// Not checkpointable (online FVT) or empty: serial fused path.
-		obs.ParallelFallbacks.Inc()
+	if opt.Parallelism > 1 && len(cfgs) > 1 {
+		return measureSharded(rec, cfgs, opt)
 	}
+	all := make([]int, len(cfgs))
+	for i := range all {
+		all[i] = i
+	}
+	return measureBatch(rec, cfgs, all, opt)
+}
+
+// measureBatch is the serial fused pass over the configurations
+// cfgs[idx[0]], cfgs[idx[1]], ... in that order. Error messages name
+// configurations by their position in cfgs.
+func measureBatch(rec *trace.Recording, cfgs []core.Config, idx []int, opt MeasureOptions) ([]MeasureResult, error) {
 	start := time.Now()
-	if opt.Label != "" {
-		span := obs.Begin(fmt.Sprintf("batch:%s[%d]", opt.Label, len(cfgs)))
-		defer span.Done()
-	}
-	cc := make([]core.Config, len(cfgs))
-	copy(cc, cfgs)
-	for i := range cc {
+	cc := make([]core.Config, len(idx))
+	for i, j := range idx {
+		cc[i] = cfgs[j]
 		cc[i].VerifyValues = opt.VerifyValues
+	}
+	if opt.Label != "" {
+		span := obs.Begin(fmt.Sprintf("batch:%s[%d]", opt.Label, len(cc)))
+		defer span.Done()
 	}
 	set, err := core.NewSet(cc)
 	if err != nil {
@@ -118,7 +129,7 @@ func MeasureRecordedBatch(rec *trace.Recording, cfgs []core.Config, opt MeasureO
 			if opt.AuditEvery > 0 && n%opt.AuditEvery == 0 {
 				for i, s := range systems {
 					if aerr := s.AuditInvariants(); aerr != nil {
-						return fmt.Errorf("config %d: %w", i, aerr)
+						return fmt.Errorf("config %d: %w", idx[i], aerr)
 					}
 				}
 			}
@@ -133,7 +144,7 @@ func MeasureRecordedBatch(rec *trace.Recording, cfgs []core.Config, opt MeasureO
 	if opt.AuditEvery > 0 {
 		for i, s := range systems {
 			if aerr := s.AuditInvariants(); aerr != nil {
-				return nil, fmt.Errorf("sim: final audit (config %d): %w", i, aerr)
+				return nil, fmt.Errorf("sim: final audit (config %d): %w", idx[i], aerr)
 			}
 		}
 	}

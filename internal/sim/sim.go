@@ -58,35 +58,12 @@ type MeasureOptions struct {
 	// fvcached service wire per-request deadlines here.
 	Ctx context.Context
 
-	// Parallelism, when positive, routes MeasureRecordedBatch through
-	// the chunk-parallel replay engine: the recording's compressed
-	// chunk stream is partitioned into up to Parallelism contiguous
-	// ranges, each replayed by its own worker seeded from the nearest
-	// memory checkpoint, and the per-range stats are spliced at the
-	// seams. In the default exact mode results are bit-identical to the
-	// serial fused replay. Batches containing a configuration the
-	// engine cannot checkpoint (online FVT identification) fall back to
-	// the serial path. 0 (the default) replays serially.
+	// Parallelism, when greater than 1, shards MeasureRecordedBatch's
+	// configurations across up to Parallelism workers, each replaying
+	// the shared recording through the serial fused engine, with
+	// results bit-identical to a serial batch. A single configuration
+	// cannot be sharded and replays serially; 0 and 1 replay serially.
 	Parallelism int
-	// ChunkAccesses is the chunk granularity of the parallel engine in
-	// accesses; <= 0 selects trace.DefaultChunkAccesses. Smaller chunks
-	// partition more evenly but pay more per-chunk overhead.
-	ChunkAccesses int
-	// SeamEpsilon switches the parallel engine to epsilon mode: seam
-	// validation and exact re-runs are skipped, so workers' speculative
-	// warm-up error survives into the merged stats. Loads and stores
-	// stay exact; for a direct-mapped hierarchy the absolute miss-count
-	// error is bounded by (workers-1) x main-cache sets when SeamOverlap
-	// is 0, and shrinks rapidly with overlap. Exact mode (the default)
-	// re-runs any range whose warmed entry state mismatches its
-	// predecessor's exit, so its results are always bit-identical.
-	SeamEpsilon bool
-	// SeamOverlap is how many accesses of warm-up overlap each worker
-	// replays before its range to warm its caches (rounded up to whole
-	// chunks). In exact mode 0 selects an adaptive default of 8x the
-	// largest configured cache-state line count; in epsilon mode 0
-	// disables warm-up entirely (maximum documented error).
-	SeamOverlap uint64
 }
 
 // cancelCheckEvery is how many accesses a cancellable replay drives

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"slices"
 
 	"fvcache/internal/obs"
 )
@@ -14,10 +13,8 @@ import (
 // Chunked columnar trace compression
 //
 // A ChunkedRecording re-encodes a Recording's access columns as
-// fixed-size chunks of compressed column streams, paired with one
-// architectural-memory checkpoint delta per chunk. It is the storage
-// substrate of the chunk-parallel replay engine (sim.MeasureOptions
-// .Parallelism):
+// fixed-size chunks of compressed column streams. The miss-rate-curve
+// engine (internal/mrc) walks it chunk by chunk:
 //
 //   - ops: one bit per access (store=1), 8x smaller than the op byte
 //     column and branch-free to expand.
@@ -28,14 +25,9 @@ import (
 //     stored once and each value as the varint of its residual, so
 //     chunks dominated by a few magnitudes (frequent value locality!)
 //     compress to a byte or two per word.
-//   - checkpoint delta: the chunk's store set — the final value of
-//     every word stored within the chunk — as sorted word-index deltas
-//     plus value varints. Applying deltas [0, c) to an empty memory
-//     reproduces the exact architectural image at chunk c's entry
-//     boundary, which is what lets a replay worker start mid-trace.
 //
 // Chunks decompress one at a time into a reused ChunkScratch, so a
-// steady-state replay loop touches a bounded working set (compressed
+// steady-state walk touches a bounded working set (compressed
 // chunk + scratch) instead of streaming the full 9-bytes-per-event
 // columns, and performs zero allocations. Decoding is hardened the
 // same way the FVT1 Reader is: corrupt bytes yield a *CorruptError
@@ -48,36 +40,28 @@ import (
 
 // DefaultChunkAccesses is the chunk granularity used when a caller
 // passes a non-positive chunk size: large enough that per-chunk
-// overheads (probe-filter rebuilds, varint stream setup) vanish,
-// small enough that per-core range partitioning stays even.
+// overheads (varint stream setup, per-chunk counter flushes) vanish,
+// small enough that the decode scratch stays a bounded working set.
 const DefaultChunkAccesses = 1 << 16
 
-// maxWordUvarint caps checkpoint word indexes: a 32-bit byte address
-// has a 30-bit word index. Larger is corruption.
-const maxWordUvarint = 1<<30 - 1
-
-// chunkRec is one compressed chunk plus its checkpoint delta.
+// chunkRec is one compressed chunk.
 type chunkRec struct {
 	n       int    // accesses in this chunk
 	stores  []byte // bit i set = access i is a store
 	addrs   []byte // varint(addr[0]), then zig-zag varint deltas
 	vals    []byte // varint residuals against valBase
 	valBase uint32 // frame-of-reference minimum for vals
-
-	deltaN     int    // words in the checkpoint delta
-	deltaAddrs []byte // varint word-index deltas, sorted ascending
-	deltaVals  []byte // varint word values
 }
 
-// ChunkedRecording is the compressed, checkpointed form of a
-// Recording's access columns. Build one with CompressColumns or the
-// cached Recording.Chunked.
+// ChunkedRecording is the compressed form of a Recording's access
+// columns. Build one with CompressColumns or the cached
+// Recording.Chunked.
 type ChunkedRecording struct {
 	chunkTarget int
 	accesses    uint64
 	starts      []uint64 // starts[i] = first access of chunk i; len = Chunks()+1
 	chunks      []chunkRec
-	bytes       int64 // total compressed bytes (columns + deltas + headers)
+	bytes       int64 // total compressed bytes (columns + headers)
 }
 
 // ChunkScratch is the reusable decode buffer for DecodeChunk. After
@@ -105,8 +89,6 @@ func CompressColumns(ops []Op, addrs, vals []uint32, chunkAccesses int) *Chunked
 		chunkTarget: chunkAccesses,
 		accesses:    uint64(len(ops)),
 	}
-	delta := make(map[uint32]uint32) // word byte addr -> last stored value
-	var words []uint32
 	for s := 0; s < len(ops); s += chunkAccesses {
 		e := s + chunkAccesses
 		if e > len(ops) {
@@ -130,7 +112,6 @@ func CompressColumns(ops []Op, addrs, vals []uint32, chunkAccesses int) *Chunked
 			}
 			if op == Store {
 				cr.stores[(i-s)>>3] |= 1 << uint((i-s)&7)
-				delta[addrs[i]] = vals[i]
 			}
 			if i == s {
 				cr.addrs = binary.AppendUvarint(cr.addrs, uint64(addrs[i]))
@@ -140,26 +121,7 @@ func CompressColumns(ops []Op, addrs, vals []uint32, chunkAccesses int) *Chunked
 			prev = addrs[i]
 			cr.vals = binary.AppendUvarint(cr.vals, uint64(vals[i]-minV))
 		}
-		words = words[:0]
-		for a := range delta {
-			words = append(words, a)
-		}
-		slices.Sort(words)
-		cr.deltaN = len(words)
-		prevW := uint32(0)
-		for j, a := range words {
-			wi := a >> 2
-			if j == 0 {
-				cr.deltaAddrs = binary.AppendUvarint(cr.deltaAddrs, uint64(wi))
-			} else {
-				cr.deltaAddrs = binary.AppendUvarint(cr.deltaAddrs, uint64(wi-prevW))
-			}
-			prevW = wi
-			cr.deltaVals = binary.AppendUvarint(cr.deltaVals, uint64(delta[a]))
-		}
-		clear(delta)
-		c.bytes += int64(len(cr.stores)+len(cr.addrs)+len(cr.vals)+
-			len(cr.deltaAddrs)+len(cr.deltaVals)) + 4 // +4: valBase header
+		c.bytes += int64(len(cr.stores)+len(cr.addrs)+len(cr.vals)) + 4 // +4: valBase header
 		c.chunks = append(c.chunks, cr)
 	}
 	c.starts = append(c.starts, uint64(len(ops)))
@@ -172,20 +134,8 @@ func (c *ChunkedRecording) Chunks() int { return len(c.chunks) }
 // Accesses returns the total number of encoded accesses.
 func (c *ChunkedRecording) Accesses() uint64 { return c.accesses }
 
-// ChunkTarget returns the chunk granularity the recording was built
-// with (every chunk but the last holds exactly this many accesses).
-func (c *ChunkedRecording) ChunkTarget() int { return c.chunkTarget }
-
-// ChunkStart returns the global access index of chunk i's first
-// access; ChunkStart(Chunks()) is the total access count, so chunk i
-// covers [ChunkStart(i), ChunkStart(i+1)).
-func (c *ChunkedRecording) ChunkStart(i int) uint64 { return c.starts[i] }
-
-// ChunkLen returns the number of accesses in chunk i.
-func (c *ChunkedRecording) ChunkLen(i int) int { return c.chunks[i].n }
-
-// CompressedBytes returns the total compressed size: columns,
-// checkpoint deltas and per-chunk headers.
+// CompressedBytes returns the total compressed size: columns and
+// per-chunk headers.
 func (c *ChunkedRecording) CompressedBytes() int64 { return c.bytes }
 
 // BytesPerAccess returns the compressed bytes per access. The
@@ -366,50 +316,4 @@ func (c *ChunkedRecording) ChunkStoreCount(i int) int {
 		n += bits.OnesCount8(b)
 	}
 	return n
-}
-
-// VisitDelta decodes chunk i's checkpoint delta — the final value of
-// every word stored within the chunk, in ascending address order —
-// calling fn(wordAddr, value) for each. Applying the deltas of chunks
-// [0, c) to an empty memsim.Memory reproduces the exact architectural
-// image at chunk c's entry boundary. Corrupt delta bytes yield a
-// *CorruptError.
-func (c *ChunkedRecording) VisitDelta(i int, fn func(addr, val uint32)) error {
-	ch := &c.chunks[i]
-	base := c.starts[i]
-	apos, vpos := 0, 0
-	prev := uint32(0)
-	for j := 0; j < ch.deltaN; j++ {
-		u, p, err := chunkUvarint(ch.deltaAddrs, apos, maxWordUvarint)
-		if err != nil {
-			return c.corrupt(i, p, base, err)
-		}
-		apos = p
-		var wi uint32
-		if j == 0 {
-			wi = uint32(u)
-		} else {
-			if u == 0 {
-				return c.corrupt(i, apos, base, errors.New("non-monotonic checkpoint word index"))
-			}
-			wi = prev + uint32(u)
-			if wi > maxWordUvarint {
-				return c.corrupt(i, apos, base, fmt.Errorf("checkpoint word index %d out of range", wi))
-			}
-		}
-		prev = wi
-		v, p, err := chunkUvarint(ch.deltaVals, vpos, maxValueUvarint)
-		if err != nil {
-			return c.corrupt(i, p, base, err)
-		}
-		vpos = p
-		fn(wi<<2, uint32(v))
-	}
-	if apos != len(ch.deltaAddrs) {
-		return c.corrupt(i, apos, base, fmt.Errorf("%d trailing bytes in checkpoint addr column", len(ch.deltaAddrs)-apos))
-	}
-	if vpos != len(ch.deltaVals) {
-		return c.corrupt(i, vpos, base, fmt.Errorf("%d trailing bytes in checkpoint value column", len(ch.deltaVals)-vpos))
-	}
-	return nil
 }

@@ -55,21 +55,21 @@ func TestChunkedRoundTrip(t *testing.T) {
 			if got := c.Chunks(); got != wantChunks {
 				t.Fatalf("n=%d chunk=%d: Chunks=%d want %d", n, chunk, got, wantChunks)
 			}
-			if c.ChunkStart(c.Chunks()) != uint64(n) {
-				t.Fatalf("n=%d chunk=%d: final ChunkStart=%d", n, chunk, c.ChunkStart(c.Chunks()))
+			if c.starts[c.Chunks()] != uint64(n) {
+				t.Fatalf("n=%d chunk=%d: final start=%d", n, chunk, c.starts[c.Chunks()])
 			}
 			var s ChunkScratch
 			pos := 0
 			for i := 0; i < c.Chunks(); i++ {
-				if c.ChunkStart(i) != uint64(pos) {
-					t.Fatalf("chunk %d: start=%d want %d", i, c.ChunkStart(i), pos)
+				if c.starts[i] != uint64(pos) {
+					t.Fatalf("chunk %d: start=%d want %d", i, c.starts[i], pos)
 				}
 				dops, daddrs, dvals, err := c.DecodeChunk(i, &s)
 				if err != nil {
 					t.Fatalf("chunk %d: decode: %v", i, err)
 				}
-				if len(dops) != c.ChunkLen(i) {
-					t.Fatalf("chunk %d: len=%d want %d", i, len(dops), c.ChunkLen(i))
+				if len(dops) != c.chunks[i].n {
+					t.Fatalf("chunk %d: len=%d want %d", i, len(dops), c.chunks[i].n)
 				}
 				for j := range dops {
 					if dops[j] != ops[pos+j] || daddrs[j] != addrs[pos+j] || dvals[j] != vals[pos+j] {
@@ -86,50 +86,11 @@ func TestChunkedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestChunkedDeltaReconstructsMemory checks the checkpoint contract:
-// applying the deltas of chunks [0, c) to an empty image yields the
-// last-stored value of every word before chunk c.
-func TestChunkedDeltaReconstructsMemory(t *testing.T) {
-	const n, chunk = 5000, 97
-	ops, addrs, vals := synthColumns(n, 42)
-	c := CompressColumns(ops, addrs, vals, chunk)
-
-	want := make(map[uint32]uint32) // serial store image
-	img := make(map[uint32]uint32)  // delta-reconstructed image
-	pos := 0
-	for i := 0; i < c.Chunks(); i++ {
-		for a, v := range want {
-			if got, ok := img[a]; !ok || got != v {
-				t.Fatalf("before chunk %d: word %#x = %#x,%v want %#x", i, a, got, ok, v)
-			}
-		}
-		if len(img) != len(want) {
-			t.Fatalf("before chunk %d: image has %d words, want %d", i, len(img), len(want))
-		}
-		var prev int64 = -1
-		if err := c.VisitDelta(i, func(a, v uint32) {
-			if int64(a) <= prev {
-				t.Fatalf("chunk %d: delta addresses not ascending (%#x after %#x)", i, a, prev)
-			}
-			prev = int64(a)
-			img[a] = v
-		}); err != nil {
-			t.Fatalf("chunk %d: VisitDelta: %v", i, err)
-		}
-		for j := 0; j < c.ChunkLen(i); j++ {
-			if ops[pos+j] == Store {
-				want[addrs[pos+j]] = vals[pos+j]
-			}
-		}
-		pos += c.ChunkLen(i)
-	}
-}
-
 func TestChunkedBytesPerAccess(t *testing.T) {
 	ops, addrs, vals := synthColumns(20000, 7)
 	c := CompressColumns(ops, addrs, vals, 0)
-	if c.ChunkTarget() != DefaultChunkAccesses {
-		t.Fatalf("ChunkTarget=%d", c.ChunkTarget())
+	if c.chunkTarget != DefaultChunkAccesses {
+		t.Fatalf("ChunkTarget=%d", c.chunkTarget)
 	}
 	bpa := c.BytesPerAccess()
 	if bpa <= 0 || bpa >= 9 {
@@ -178,13 +139,6 @@ func TestChunkedCorruptColumns(t *testing.T) {
 				}
 				return
 			}
-			if err := c.VisitDelta(i, func(a, v uint32) {}); err != nil {
-				var ce *CorruptError
-				if !errors.As(err, &ce) {
-					t.Fatalf("%s: visit error is %T, want *CorruptError: %v", name, err, err)
-				}
-				return
-			}
 		}
 		t.Fatalf("%s: corruption not detected", name)
 	}
@@ -203,28 +157,6 @@ func TestChunkedCorruptColumns(t *testing.T) {
 	mutate("short bitset", func(c *ChunkedRecording) {
 		c.chunks[0].stores = c.chunks[0].stores[:len(c.chunks[0].stores)-1]
 	})
-	mutate("truncated delta addrs", func(c *ChunkedRecording) {
-		for i := range c.chunks {
-			if len(c.chunks[i].deltaAddrs) > 0 {
-				c.chunks[i].deltaAddrs = c.chunks[i].deltaAddrs[:len(c.chunks[i].deltaAddrs)-1]
-				return
-			}
-		}
-	})
-	mutate("zero delta gap", func(c *ChunkedRecording) {
-		for i := range c.chunks {
-			if c.chunks[i].deltaN >= 2 {
-				// Zero the gap varint after the first index: non-monotonic.
-				p := 0
-				for c.chunks[i].deltaAddrs[p]&0x80 != 0 {
-					p++
-				}
-				c.chunks[i].deltaAddrs[p+1] = 0
-				return
-			}
-		}
-		t.Skip("no multi-word delta chunk")
-	})
 }
 
 func TestRecordingChunkedCache(t *testing.T) {
@@ -238,8 +170,8 @@ func TestRecordingChunkedCache(t *testing.T) {
 	if c1 != c2 {
 		t.Fatal("Chunked(500) not cached")
 	}
-	if c3 := r.Chunked(0); c3.ChunkTarget() != DefaultChunkAccesses {
-		t.Fatalf("Chunked(0) target=%d", c3.ChunkTarget())
+	if c3 := r.Chunked(0); c3.chunkTarget != DefaultChunkAccesses {
+		t.Fatalf("Chunked(0) target=%d", c3.chunkTarget)
 	}
 	if r.Chunked(0) != r.Chunked(DefaultChunkAccesses) {
 		t.Fatal("Chunked(0) and Chunked(default) not shared")
@@ -294,9 +226,6 @@ func FuzzColumnCodec(f *testing.F) {
 					t.Fatalf("round-trip mismatch chunk %d event %d", i, j)
 				}
 			}
-			if err := c.VisitDelta(i, func(a, v uint32) {}); err != nil {
-				t.Fatalf("round-trip delta chunk %d: %v", i, err)
-			}
 			pos += len(dops)
 		}
 		if c.Chunks() == 0 {
@@ -306,10 +235,7 @@ func FuzzColumnCodec(f *testing.F) {
 		// Corrupt one byte of one column; decode must either still
 		// succeed or fail with *CorruptError. Panics fail the fuzz run.
 		ci := int(flip>>16) % c.Chunks()
-		cols := [][]byte{
-			c.chunks[ci].stores, c.chunks[ci].addrs, c.chunks[ci].vals,
-			c.chunks[ci].deltaAddrs, c.chunks[ci].deltaVals,
-		}
+		cols := [][]byte{c.chunks[ci].stores, c.chunks[ci].addrs, c.chunks[ci].vals}
 		col := cols[int(flip>>8)%len(cols)]
 		if len(col) == 0 {
 			return
@@ -320,12 +246,6 @@ func FuzzColumnCodec(f *testing.F) {
 				var ce *CorruptError
 				if !errors.As(err, &ce) {
 					t.Fatalf("corrupt decode: %T not *CorruptError: %v", err, err)
-				}
-			}
-			if err := c.VisitDelta(i, func(a, v uint32) {}); err != nil {
-				var ce *CorruptError
-				if !errors.As(err, &ce) {
-					t.Fatalf("corrupt visit: %T not *CorruptError: %v", err, err)
 				}
 			}
 		}

@@ -109,8 +109,7 @@ func (r *Recording) AccessColumns() (ops []Op, addrs, values []uint32) {
 	return r.acc.ops, r.acc.addrs, r.acc.vals
 }
 
-// Chunked returns the compressed, checkpointed form of the access
-// columns at the given chunk granularity (<= 0 selects
+// Chunked returns the compressed form of the access columns at the given chunk granularity (<= 0 selects
 // DefaultChunkAccesses), building it on first use and caching it per
 // granularity thereafter. Safe for concurrent callers on an immutable
 // recording; the returned ChunkedRecording is itself immutable and
