@@ -23,9 +23,9 @@
 //	closed    N workers back to back — the cache-hit steady state
 //	open      fixed arrival rate, latency under unsynchronized load
 //	burst     rounds of identical concurrent requests — coalescing
-//	deadline  deadline_ms shorter than the coalescing window — 504s,
-//	          and the circuit breaker they open (503s). Runs LAST so
-//	          breaker fallout cannot pollute the steady-state phases.
+//	deadline  1ms deadlines on never-seen configs — 504s, and the
+//	          circuit breaker they open (503s). Runs LAST so breaker
+//	          fallout cannot pollute the steady-state phases.
 //
 // With -cluster n (default 3, 0 disables) the run then boots an n-node
 // consistent-hash fleet (static -peers membership), replays the warm
@@ -197,9 +197,9 @@ func (r *recorder) setDiscard(d bool) {
 }
 
 // configPool is the reused configuration set. Reuse is the point: the
-// same fingerprints recur so the durable result cache and the
-// coalescing window both see repeats, like production clients
-// re-asking the popular questions.
+// same fingerprints recur so the durable result cache and request
+// coalescing both see repeats, like production clients re-asking the
+// popular questions.
 var configPool = []api.Config{
 	{},
 	{FVCEntries: 256},
@@ -373,16 +373,25 @@ func (g *gen) openLoop(rate int, d time.Duration, seed int64) {
 	wg.Wait()
 }
 
-// burst fires rounds of identical concurrent requests: every member
-// lands inside one coalescing window, so the fused-batch path gets a
-// directed workout. Across a fleet the members spread over all nodes
-// and still coalesce at the single owner.
-func (g *gen) burst(rounds, width int, seed int64) {
+// freshConfig is a config no request named before: its one-value FVT
+// gives it a fingerprint of its own, so no cache holds its answer.
+func freshConfig(tag uint32) api.Config {
+	return api.Config{FVCEntries: 256, FrequentValues: []uint32{tag}}
+}
+
+// burst fires rounds of identical concurrent requests. A fresh round
+// names a new config, and the members arriving while its batch replays
+// join it; pool rounds keep the fleet lane's hit ratio comparable to
+// the single node's, and their members coalesce at the owner.
+func (g *gen) burst(rounds, width int, seed int64, fresh bool) {
 	rng := rand.New(rand.NewSource(seed + 7))
 	zipf := rand.NewZipf(rng, 1.2, 1, uint64(len(g.names)-1))
 	for r := 0; r < rounds; r++ {
 		wl := g.names[int(zipf.Uint64())%len(g.names)]
 		cfg := configPool[rng.Intn(len(configPool))]
+		if fresh {
+			cfg = freshConfig(0xb0000000 + uint32(r))
+		}
 		req := api.MeasureRequest{Workload: wl, Scale: "test", Config: &cfg}
 		var wg sync.WaitGroup
 		for i := 0; i < width; i++ {
@@ -394,15 +403,16 @@ func (g *gen) burst(rounds, width int, seed int64) {
 	}
 }
 
-// deadlines issues requests whose deadline is shorter than the
-// server's coalescing window: every one times out (504), and the
-// failures open the per-workload circuit breaker (503). Must run last.
+// deadlines issues 1ms-deadline requests for fresh configs: every one
+// times out (504), and the failures open the per-workload circuit
+// breaker (503). Must run last.
 func (g *gen) deadlines(d time.Duration, seed int64) {
 	rng := rand.New(rand.NewSource(seed + 13))
 	wl := g.names[rng.Intn(len(g.names))]
 	stop := time.Now().Add(d)
-	for time.Now().Before(stop) {
-		g.oneMeasure(api.MeasureRequest{Workload: wl, Scale: "test", DeadlineMS: 1})
+	for i := uint32(0); time.Now().Before(stop); i++ {
+		cfg := freshConfig(0xdead0000 + i)
+		g.oneMeasure(api.MeasureRequest{Workload: wl, Scale: "test", Config: &cfg, DeadlineMS: 1})
 		time.Sleep(5 * time.Millisecond)
 	}
 }
@@ -703,7 +713,6 @@ func spawnFleet(bin, workDir string, n, ring int) ([]*child, error) {
 		c, err := spawn(bin,
 			"-addr", addrs[i],
 			"-peers", peers,
-			"-coalesce", "2ms",
 			"-cache-dir", filepath.Join(workDir, fmt.Sprintf("fleet-cache-%d", i)),
 			"-trace-ring", fmt.Sprint(ring),
 			"-telemetry-out", filepath.Join(workDir, fmt.Sprintf("fleet-telemetry-%d.json", i)),
@@ -749,7 +758,7 @@ func runFleetLane(bin, workDir string, n int, seed int64, workers int, closed ti
 	fmt.Printf("serveload: fleet closed loop, %d workers for %s...\n", workers, closed)
 	g.closedLoop(workers, closed, seed+1000)
 	fmt.Printf("serveload: fleet %d burst rounds of %d...\n", bursts, width)
-	g.burst(bursts, width, seed+1000)
+	g.burst(bursts, width, seed+1000, false)
 
 	fr := g.buildFleet()
 	stages := map[string]stageStat{}
@@ -834,7 +843,6 @@ func run() int {
 		var err error
 		srv, err = spawn(builtBin,
 			"-addr", "127.0.0.1:0",
-			"-coalesce", "2ms",
 			"-cache-dir", filepath.Join(workDir, "cache"),
 			"-trace-ring", fmt.Sprint(*ring),
 			"-telemetry-out", telemetryOut,
@@ -864,7 +872,7 @@ func run() int {
 	fmt.Printf("serveload: open loop, %d req/s for %s...\n", *rate, *open)
 	g.openLoop(*rate, *open, *seed)
 	fmt.Printf("serveload: %d burst rounds of %d...\n", *bursts, *width)
-	g.burst(*bursts, *width, *seed)
+	g.burst(*bursts, *width, *seed, true)
 	if *deadline > 0 {
 		fmt.Printf("serveload: deadline phase for %s...\n", *deadline)
 		g.deadlines(*deadline, *seed)

@@ -98,10 +98,10 @@ func fleetConfigPool() []api.Config {
 }
 
 func TestFleetSingleOwnershipBitIdentical(t *testing.T) {
-	nodes := startFleet(t, 3, fleet.Options{}, Options{CoalesceWindow: time.Millisecond})
+	nodes := startFleet(t, 3, fleet.Options{}, Options{})
 
 	// Single-node reference for bit-identical comparison.
-	_, ref := newTestService(t, Options{CoalesceWindow: time.Millisecond})
+	_, ref := newTestService(t, Options{})
 	refCli, err := client.New(ref.URL, client.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +186,7 @@ func TestFleetFallbackAndRejoin(t *testing.T) {
 	nodes := startFleet(t, 3,
 		fleet.Options{FailThreshold: 1, Cooldown: cooldown,
 			Now: func() time.Time { return time.Unix(0, clock.Load()) }},
-		Options{CoalesceWindow: time.Millisecond})
+		Options{})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -279,7 +279,7 @@ func TestFleetFallbackAndRejoin(t *testing.T) {
 }
 
 func TestFleetDebugEndpoints(t *testing.T) {
-	nodes := startFleet(t, 3, fleet.Options{}, Options{CoalesceWindow: time.Millisecond})
+	nodes := startFleet(t, 3, fleet.Options{}, Options{})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 

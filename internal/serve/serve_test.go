@@ -54,7 +54,7 @@ func postJSON(t *testing.T, url string, body string) (*http.Response, []byte) {
 // a direct engine call.
 func TestCoalescingFusesRequests(t *testing.T) {
 	const clients = 8
-	sv, ts := newTestService(t, Options{CoalesceWindow: 150 * time.Millisecond})
+	sv, ts := newTestService(t, Options{})
 
 	body := `{"workload":"goboard","scale":"test","configs":[` +
 		`{"main_bytes":8192},{"main_bytes":8192,"fvc_entries":256}]}`
@@ -152,7 +152,7 @@ func TestCoalescingFusesRequests(t *testing.T) {
 // rejected with 429 instead of queuing unboundedly.
 func TestQueueOverflowRejects(t *testing.T) {
 	sv, ts := newTestService(t, Options{
-		Workers: 1, QueueDepth: 1, CoalesceWindow: time.Millisecond,
+		Workers: 1, QueueDepth: 1,
 	})
 	started := make(chan string, 8)
 	release := make(chan struct{})
@@ -213,7 +213,7 @@ func TestQueueOverflowRejects(t *testing.T) {
 // Shutdown begins still completes with 200, while new requests are
 // turned away with 503.
 func TestGracefulDrain(t *testing.T) {
-	sv := New(Options{Workers: 1, CoalesceWindow: time.Millisecond})
+	sv := New(Options{Workers: 1})
 	ts := httptest.NewServer(sv.Handler())
 	defer ts.Close()
 
@@ -300,7 +300,7 @@ func TestGracefulDrain(t *testing.T) {
 
 // TestBadRequests walks the 4xx surface.
 func TestBadRequests(t *testing.T) {
-	_, ts := newTestService(t, Options{CoalesceWindow: time.Millisecond})
+	_, ts := newTestService(t, Options{})
 	cases := []struct {
 		name, body string
 		want       int
@@ -341,7 +341,7 @@ func TestBadRequests(t *testing.T) {
 
 // TestListingAndMetricsEndpoints covers the read-only surface.
 func TestListingAndMetricsEndpoints(t *testing.T) {
-	_, ts := newTestService(t, Options{CoalesceWindow: time.Millisecond})
+	_, ts := newTestService(t, Options{})
 
 	resp, err := http.Get(ts.URL + "/v1/workloads")
 	if err != nil {
@@ -390,7 +390,7 @@ func TestListingAndMetricsEndpoints(t *testing.T) {
 // TestSweepStreamsOverHTTP runs one artifact through POST /v1/sweep and
 // checks the NDJSON stream shape.
 func TestSweepStreamsOverHTTP(t *testing.T) {
-	_, ts := newTestService(t, Options{CoalesceWindow: time.Millisecond})
+	_, ts := newTestService(t, Options{})
 	resp, data := postJSON(t, ts.URL+"/v1/sweep", `{"artifacts":["tab1"],"scale":"test"}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
@@ -419,7 +419,7 @@ func TestSweepStreamsOverHTTP(t *testing.T) {
 // TestDefaultConfigRequest checks the minimal useful body measures the
 // default geometry.
 func TestDefaultConfigRequest(t *testing.T) {
-	_, ts := newTestService(t, Options{CoalesceWindow: time.Millisecond})
+	_, ts := newTestService(t, Options{})
 	resp, data := postJSON(t, ts.URL+"/v1/measure", `{"workload":"goboard"}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)

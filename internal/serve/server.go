@@ -2,15 +2,15 @@
 // end that accepts measurement and sweep requests from many concurrent
 // clients and coalesces them into the fused batch replay engine.
 //
-// Requests for the same (workload, scale, options) arriving within a
-// short window are merged into ONE sim.MeasureRecordedBatch execution:
-// their configurations are deduplicated into a single fused SystemSet
-// replay over the shared recording cache, and each client receives its
-// own slice of the results. A bounded worker pool executes batches;
-// when the batch queue overflows, new requests are rejected with 429
-// (backpressure) instead of piling up. Shutdown drains: in-flight
-// requests complete, open coalescing windows flush, and only then do
-// the workers exit.
+// Requests for the same (workload, scale, options) are merged by group
+// commit into ONE sim.MeasureRecordedBatch execution: a deduplicated,
+// fused SystemSet replay over the shared recording cache, of which
+// each client receives its own slice. An idle key's request runs at
+// once; requests arriving meanwhile join the running batch or gather
+// in the next one. A bounded worker pool executes batches; when too
+// many wait, new ones are rejected with 429 (backpressure) instead of
+// piling up. Shutdown drains: queued, running and parked batches
+// complete, and only then do the workers exit.
 //
 // The serving path is fault-hardened (see DESIGN.md, "Durability &
 // degradation model"):
@@ -60,7 +60,6 @@ var (
 	batchesTotal   = obs.Default.Counter("serve_batches_total")
 	coalescedTotal = obs.Default.Counter("serve_coalesced_requests_total")
 	batchConfigs   = obs.Default.Histogram("serve_batch_configs")
-	requestMS      = obs.Default.Histogram("serve_request_ms")
 	queueDepth     = obs.Default.Gauge("serve_queue_depth")
 	inflightReqs   = obs.Default.Gauge("serve_inflight_requests")
 
@@ -72,20 +71,11 @@ var (
 type Options struct {
 	// Workers is the batch worker pool size (<=0 means GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds the batch queue; a full queue rejects new
-	// batches with 429 (<=0 means 64).
+	// QueueDepth bounds the batches queued or parked behind a running
+	// one; a new batch beyond it is rejected with 429 (<=0 means 64).
 	QueueDepth int
-	// CoalesceWindow is how long the first request of a batch waits
-	// for same-keyed requests to join it (<=0 means 10ms).
-	CoalesceWindow time.Duration
 	// RequestTimeout bounds one batch execution (<=0 means 120s).
 	RequestTimeout time.Duration
-	// MaxBatchConfigs caps distinct configurations fused into one
-	// batch; a window that fills up dispatches early and keeps
-	// coalescing into a fresh batch (<=0 means 64).
-	MaxBatchConfigs int
-	// MaxSweeps bounds concurrent /v1/sweep executions (<=0 means 2).
-	MaxSweeps int
 	// DefaultDeadline is the per-request deadline applied when a
 	// request carries none of its own (<=0 means no default; the batch
 	// is still bounded by RequestTimeout).
@@ -117,6 +107,10 @@ type Options struct {
 	Fleet *fleet.Fleet
 }
 
+// maxBatchConfigs caps the distinct configurations of a batch (a
+// request naming more gets 400); maxSweeps bounds concurrent sweeps.
+const maxBatchConfigs, maxSweeps = 64, 2
+
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
@@ -124,17 +118,8 @@ func (o Options) withDefaults() Options {
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 64
 	}
-	if o.CoalesceWindow <= 0 {
-		o.CoalesceWindow = 10 * time.Millisecond
-	}
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 120 * time.Second
-	}
-	if o.MaxBatchConfigs <= 0 {
-		o.MaxBatchConfigs = 64
-	}
-	if o.MaxSweeps <= 0 {
-		o.MaxSweeps = 2
 	}
 	if o.BreakerThreshold <= 0 {
 		o.BreakerThreshold = 3
@@ -162,9 +147,10 @@ type callResult struct {
 	err    error
 }
 
-// batch is one coalescing unit: every request sharing (workload,
-// scale, options) that arrived within the window, with their
-// configurations deduplicated by fingerprint.
+// batch is one coalescing unit: requests sharing (workload, scale,
+// options), with their configurations deduplicated by fingerprint. A
+// key has at most one batch queued or running; requests it cannot seat
+// wait in its next batch, which the worker runs as soon as it is done.
 type batch struct {
 	key      string
 	workload string
@@ -178,13 +164,15 @@ type batch struct {
 	configs []ConfigWire
 	fps     map[string]int
 	subs    []*call
-	timer   *time.Timer
+	// next is the batch parked behind this one for the same key. It is
+	// open to new configurations until this batch is sealed.
+	next *batch
 
 	// Stage timestamps, stamped as the batch moves through the serving
 	// pipeline; zero values mean the stage never ran (stubbed executor,
 	// early failure) and are skipped by trace/stage accounting.
-	created    time.Time // batch opened (coalescing window armed)
-	dispatched time.Time // window closed, handed to the queue
+	created    time.Time // batch opened
+	dispatched time.Time // queued (key idle) or its predecessor sealed
 	execStart  time.Time // worker picked it up
 	cacheDone  time.Time // result-cache probe finished
 	replayDone time.Time // replay (or cache-only serve) finished
@@ -192,7 +180,7 @@ type batch struct {
 	// deadline is the latest member deadline; the batch context must
 	// outlive every coalesced request. unbounded is set when any member
 	// carries no deadline at all (the batch then runs under
-	// RequestTimeout only).
+	// RequestTimeout only). Both are fixed once the batch is queued.
 	deadline  time.Time
 	unbounded bool
 
@@ -203,20 +191,16 @@ type batch struct {
 	diskHits  int
 }
 
-// failAll delivers an error to every coalesced request of the batch.
-func (b *batch) failAll(status int, err error) {
-	for _, c := range b.subs {
-		c.done <- callResult{status: status, err: err}
-	}
-}
-
 // Server coalesces measurement requests into fused batch executions.
 type Server struct {
 	opt Options
 	mux *http.ServeMux
 
-	mu      sync.Mutex
-	pending map[string]*batch
+	mu sync.Mutex
+	// running maps a key to its batch that is queued or executing;
+	// parked counts the next batches waiting behind them.
+	running map[string]*batch
+	parked  int
 	qClosed bool
 
 	queue    chan *batch
@@ -263,11 +247,11 @@ func New(opt Options) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		opt:      opt,
-		pending:  make(map[string]*batch),
+		running:  make(map[string]*batch),
 		queue:    make(chan *batch, opt.QueueDepth),
 		baseCtx:  ctx,
 		stop:     cancel,
-		sweepSem: make(chan struct{}, opt.MaxSweeps),
+		sweepSem: make(chan struct{}, maxSweeps),
 		brk:      newBreaker(opt.BreakerThreshold, opt.BreakerCooldown),
 		rec:      reqtrace.NewRecorder(opt.TraceRing),
 	}
@@ -322,7 +306,8 @@ func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 type Stats struct {
 	// Batches is how many fused batch executions ran.
 	Batches uint64
-	// Coalesced is how many requests joined an already-open batch.
+	// Coalesced is how many requests took seats in a batch another
+	// request opened (the key's running batch or its next one).
 	Coalesced uint64
 	// Rejected is how many requests were refused with 429.
 	Rejected uint64
@@ -337,26 +322,14 @@ func (s *Server) ServerStats() Stats {
 	}
 }
 
-// Shutdown drains the service: open coalescing windows flush
-// immediately, queued and in-flight batches complete (delivering
-// results to their waiting requests), and the workers exit. New
-// requests are rejected with 503 from the first call on. If ctx
-// expires first, in-flight batch replays are cancelled at their next
-// chunk boundary and the drain finishes with ctx's error.
+// Shutdown drains the service: queued and running batches complete,
+// each followed by the next batch parked behind it (delivering results
+// to their waiting requests), and the workers exit. New requests are
+// rejected with 503 from the first call on. If ctx expires first,
+// in-flight batch replays are cancelled at their next chunk boundary
+// and the drain finishes with ctx's error.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
-	// Flush every open window: ownership moves from the timer to us.
-	s.mu.Lock()
-	flush := make([]*batch, 0, len(s.pending))
-	for _, b := range s.pending {
-		b.timer.Stop()
-		flush = append(flush, b)
-	}
-	s.pending = make(map[string]*batch)
-	s.mu.Unlock()
-	for _, b := range flush {
-		s.enqueue(b, true)
-	}
 	s.mu.Lock()
 	if !s.qClosed {
 		s.qClosed = true
@@ -379,147 +352,158 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// submit coalesces a parsed request into an open batch (or opens one)
-// and returns the caller's seat. optsFP is the canonical options JSON
-// (precomputed by the handler, which also uses it for fleet ownership).
-// deadline is the request's absolute deadline (zero = none); the batch
-// runs until its latest member deadline so one impatient client cannot
-// cancel its seat-mates.
+var (
+	errDraining   = errors.New("service is shutting down")
+	errOverloaded = errors.New("batch queue full, retry later")
+)
+
+// submit seats a parsed request in a batch and returns the caller's
+// seat. optsFP is the canonical options JSON (precomputed by the
+// handler, which also uses it for fleet ownership). deadline is the
+// request's absolute deadline (zero = none).
+//
+// Coalescing is group commit per (workload, scale, options) key. An
+// idle key opens a batch and queues it at once. A request whose every
+// configuration is in the key's running batch joins it, as /v1/mrc
+// joins a flight, if that batch's context outlives the request. Any
+// other request waits in the key's next batch, which runs as soon as
+// the running one finishes; a full next batch chains a further one.
 func (s *Server) submit(workload string, scale fvcache.Scale, opts fvcache.Options, optsFP string, cfgs []ConfigWire, deadline time.Time) (*call, error) {
 	key := fmt.Sprintf("%s|%s|%s", workload, scale, optsFP)
+	fps := make([]string, len(cfgs))
+	var uniq []string
+	seen := make(map[string]bool, len(cfgs))
+	for i, cfg := range cfgs {
+		if fps[i] = cfg.Fingerprint(); !seen[fps[i]] {
+			seen[fps[i]] = true
+			uniq = append(uniq, fps[i])
+		}
+	}
+	if len(uniq) > maxBatchConfigs {
+		return nil, fmt.Errorf("request names %d distinct configurations, more than %d", len(uniq), maxBatchConfigs)
+	}
+	c := &call{done: make(chan callResult, 1)}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.qClosed {
 		return nil, errDraining
 	}
-	b := s.pending[key]
-	if b == nil {
-		b = s.newBatchLocked(key, workload, scale, opts, optsFP)
-	} else {
+	head := s.running[key]
+	b, tail := head, head
+	if head != nil && (head.missing(uniq) > 0 || !head.outlives(deadline)) {
+		for tail.next != nil {
+			tail = tail.next
+		}
+		b = tail
+		if tail == head || len(tail.configs)+tail.missing(uniq) > maxBatchConfigs {
+			b = nil
+		}
+	}
+	if b != nil {
+		b.seat(c, cfgs, fps, deadline)
 		s.nCoalesced.Add(1)
 		coalescedTotal.Inc()
+		return c, nil
 	}
-	c := &call{done: make(chan callResult, 1)}
-	for _, cfg := range cfgs {
-		fp := cfg.Fingerprint()
-		i, ok := b.fps[fp]
-		if !ok {
-			if len(b.configs) >= s.opt.MaxBatchConfigs {
-				// The open batch is full: dispatch it now and keep
-				// coalescing this (and later) requests into a fresh one.
-				// Seats already taken in the full batch stay there; a
-				// request can legitimately span two executions only when
-				// it alone exceeds the cap, in which case it waits on the
-				// last batch it joined.
-				s.dispatchLocked(b)
-				nb := s.newBatchLocked(key, workload, scale, opts, optsFP)
-				if len(c.idx) > 0 {
-					// This caller already holds seats in the dispatched
-					// batch; it cannot wait on two. Refuse rather than
-					// deliver partial results.
-					return nil, fmt.Errorf("request spans more than %d distinct configurations", s.opt.MaxBatchConfigs)
-				}
-				b = nb
-			}
-			i = len(b.configs)
-			b.configs = append(b.configs, cfg)
-			b.fps[fp] = i
-		}
-		c.idx = append(c.idx, i)
+	if len(s.queue)+s.parked >= s.opt.QueueDepth {
+		s.nRejected.Add(1)
+		reqRejected.Inc()
+		return nil, errOverloaded
 	}
-	// Merge the caller's deadline into whichever batch it ended up in.
-	if deadline.IsZero() {
-		b.unbounded = true
-	} else if deadline.After(b.deadline) {
-		b.deadline = deadline
-	}
-	b.subs = append(b.subs, c)
-	return c, nil
-}
-
-// newBatchLocked opens a batch and arms its coalescing window.
-func (s *Server) newBatchLocked(key, workload string, scale fvcache.Scale, opts fvcache.Options, optsFP string) *batch {
-	b := &batch{
+	b = &batch{
 		key: key, workload: workload, scale: scale, opts: opts, optsFP: optsFP,
 		fps: make(map[string]int), id: s.rec.Mint(), created: time.Now(),
 	}
-	s.pending[key] = b
-	b.timer = time.AfterFunc(s.opt.CoalesceWindow, func() { s.dispatch(b) })
-	return b
-}
-
-// dispatch moves a batch from the coalescing window to the queue if
-// it still owns it (Shutdown or a full window may have taken it
-// first).
-func (s *Server) dispatch(b *batch) {
-	s.mu.Lock()
-	if s.pending[b.key] != b {
-		s.mu.Unlock()
-		return
-	}
-	s.dispatchLocked(b)
-	s.mu.Unlock()
-}
-
-func (s *Server) dispatchLocked(b *batch) {
-	delete(s.pending, b.key)
-	b.timer.Stop()
-	s.enqueueLocked(b, false)
-}
-
-// enqueue hands a batch to the worker pool. Non-blocking mode applies
-// queue backpressure: a full queue fails the whole batch with 429.
-// Blocking mode is used by the Shutdown flush, which must not drop
-// accepted work.
-func (s *Server) enqueue(b *batch, block bool) {
-	s.mu.Lock()
-	s.enqueueLocked(b, block)
-	s.mu.Unlock()
-}
-
-func (s *Server) enqueueLocked(b *batch, block bool) {
-	if b.dispatched.IsZero() {
-		b.dispatched = time.Now() // covers both timer dispatch and the Shutdown flush
-	}
-	if s.qClosed {
-		b.failAll(http.StatusServiceUnavailable, errDraining)
-		return
-	}
-	if block {
-		s.queue <- b
+	b.seat(c, cfgs, fps, deadline)
+	if head == nil {
+		b.dispatched = b.created
+		s.running[key] = b
+		s.queue <- b // the depth check above leaves room
+		queueDepth.Set(float64(len(s.queue)))
 	} else {
-		select {
-		case s.queue <- b:
-		default:
-			s.nRejected.Add(uint64(len(b.subs)))
-			reqRejected.Add(uint64(len(b.subs)))
-			b.failAll(http.StatusTooManyRequests, errOverloaded)
-			return
+		tail.next = b
+		s.parked++
+	}
+	return c, nil
+}
+
+// seat gives a request its seats in the batch, adding the
+// configurations the batch lacks, and makes the batch outlive the
+// request's deadline. A queued batch is joined only by requests it
+// already outlives, so seat writes none of its deadline fields.
+func (b *batch) seat(c *call, cfgs []ConfigWire, fps []string, deadline time.Time) {
+	for i, fp := range fps {
+		j, ok := b.fps[fp]
+		if !ok {
+			j = len(b.configs)
+			b.configs = append(b.configs, cfgs[i])
+			b.fps[fp] = j
+		}
+		c.idx = append(c.idx, j)
+	}
+	b.subs = append(b.subs, c)
+	switch {
+	case b.unbounded:
+	case deadline.IsZero():
+		b.unbounded = true
+	case deadline.After(b.deadline):
+		b.deadline = deadline
+	}
+}
+
+// missing counts the fingerprints, all distinct, the batch lacks.
+func (b *batch) missing(uniq []string) int {
+	n := 0
+	for _, fp := range uniq {
+		if _, ok := b.fps[fp]; !ok {
+			n++
 		}
 	}
-	queueDepth.Set(float64(len(s.queue)))
+	return n
 }
 
-var (
-	errDraining   = errors.New("service is shutting down")
-	errOverloaded = errors.New("batch queue full, retry later")
-)
+// outlives reports whether the batch's context lasts at least until a
+// request's deadline, so the request may join it after it was queued.
+func (b *batch) outlives(deadline time.Time) bool {
+	return b.unbounded || (!deadline.IsZero() && !deadline.After(b.deadline))
+}
 
-// worker executes batches until the queue closes.
+// seal closes a finished batch to new seats and hands its key to the
+// next batch, which the calling worker runs at once; nil when none
+// waits. Sealing before fan-out makes b.subs final.
+func (s *Server) seal(b *batch) *batch {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	nb := b.next
+	if nb == nil {
+		delete(s.running, b.key)
+		return nil
+	}
+	s.running[b.key] = nb
+	s.parked--
+	nb.dispatched = time.Now()
+	return nb
+}
+
+// worker executes batches, and the batches parked behind them, until
+// the queue closes.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for b := range s.queue {
 		queueDepth.Set(float64(len(s.queue)))
-		s.runBatch(b)
+		for b != nil {
+			b = s.runBatch(b)
+		}
 	}
 }
 
 // runBatch materializes the batch's configurations (resolving
 // profile-derived FVTs from the shared profile cache), drives one
 // fused replay for all of them, and fans the per-config results back
-// to every coalesced request.
-func (s *Server) runBatch(b *batch) {
+// to every coalesced request. It returns the key's next batch, which
+// the caller runs at once.
+func (s *Server) runBatch(b *batch) *batch {
 	s.nBatches.Add(1)
 	batchesTotal.Inc()
 	batchConfigs.Observe(uint64(len(b.configs)))
@@ -557,6 +541,7 @@ func (s *Server) runBatch(b *batch) {
 		return execErr
 	})
 	b.replayDone = time.Now()
+	next := s.seal(b)
 	observeBatchStages(b)
 	bt.Add("coalesce_wait", -1, b.created, b.dispatched)
 	bt.Add("queue_wait", -1, b.dispatched, b.execStart)
@@ -580,8 +565,10 @@ func (s *Server) runBatch(b *batch) {
 		bt.SetError(err.Error())
 		bt.SetOutcome(status, outcomeFor(status, ""))
 		s.rec.Finish(bt)
-		b.failAll(status, err)
-		return
+		for _, c := range b.subs {
+			c.done <- callResult{status: status, err: err}
+		}
+		return next
 	}
 	info := batchInfoWire{
 		Requests:      len(b.subs),
@@ -606,6 +593,7 @@ func (s *Server) runBatch(b *batch) {
 		c.done <- callResult{results: rs, info: info, b: b}
 	}
 	obs.Log.Debug("batch served", "workload", b.workload, "requests", len(b.subs), "configs", len(b.configs))
+	return next
 }
 
 // execBatch serves the batch's configurations from the durable result
@@ -780,8 +768,11 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	c, err := s.submit(req.Workload, scale, req.Options, optsFP, cfgs, deadline)
 	if err != nil {
 		status := http.StatusBadRequest
-		if errors.Is(err, errDraining) {
+		switch {
+		case errors.Is(err, errDraining):
 			status = http.StatusServiceUnavailable
+		case errors.Is(err, errOverloaded):
+			status = http.StatusTooManyRequests
 		}
 		t.fail(status, err)
 		return

@@ -109,7 +109,6 @@ func (t *reqTrack) finish(status int, class string) {
 	}
 	t.done = true
 	elapsed := time.Since(t.start)
-	requestMS.Observe(uint64(elapsed.Milliseconds()))
 	outcome := outcomeFor(status, class)
 	if byOutcome, ok := latencySeries[t.endpoint]; ok {
 		h := byOutcome[outcome]
@@ -118,10 +117,11 @@ func (t *reqTrack) finish(status int, class string) {
 		}
 		h.Observe(uint64(elapsed.Microseconds()))
 	}
+	id := t.tr.ID() // Finish hands the trace back to the pool
 	t.tr.SetOutcome(status, outcome)
 	t.s.rec.Finish(t.tr)
 	obs.Log.Debug("request",
-		"id", t.tr.ID(), "endpoint", t.endpoint, "status", fmt.Sprint(status),
+		"id", id, "endpoint", t.endpoint, "status", fmt.Sprint(status),
 		"outcome", outcome, "us", fmt.Sprint(elapsed.Microseconds()))
 }
 
@@ -141,9 +141,9 @@ func (t *reqTrack) failFull(status int, err error, retryable bool, reason string
 }
 
 // attachBatchSpans adds the executed batch's stage timeline under
-// parent: how long the coalescing window stayed open, the queue wait,
-// the result-cache probe, and the replay. Stages a stubbed executor
-// never stamped are skipped by Add.
+// parent: how long it waited behind the key's previous batch, the
+// queue wait, the result-cache probe, and the replay. Stages a stubbed
+// executor never stamped are skipped by Add.
 func (t *reqTrack) attachBatchSpans(parent int, b *batch) {
 	if b == nil {
 		return

@@ -44,7 +44,7 @@ func TestRequestTraceEndToEnd(t *testing.T) {
 	if !obs.Enabled {
 		t.Skip("telemetry compiled out")
 	}
-	_, ts := newTestService(t, Options{CoalesceWindow: 5 * time.Millisecond})
+	_, ts := newTestService(t, Options{})
 
 	resp, data := postJSON(t, ts.URL+"/v1/measure", `{"workload":"goboard","scale":"test"}`)
 	if resp.StatusCode != http.StatusOK {
@@ -135,7 +135,7 @@ func TestInboundTraceIDHonored(t *testing.T) {
 	if !obs.Enabled {
 		t.Skip("telemetry compiled out")
 	}
-	_, ts := newTestService(t, Options{CoalesceWindow: time.Millisecond})
+	_, ts := newTestService(t, Options{})
 
 	req, _ := http.NewRequest("POST", ts.URL+"/v1/measure",
 		strings.NewReader(`{"workload":"goboard","scale":"test"}`))
@@ -182,7 +182,7 @@ func TestErrorBodiesCarryTraceID(t *testing.T) {
 		t.Skip("telemetry compiled out")
 	}
 	sv, ts := newTestService(t, Options{
-		Workers: 1, QueueDepth: 1, CoalesceWindow: time.Millisecond,
+		Workers: 1, QueueDepth: 1,
 	})
 	block := make(chan struct{})
 	sv.exec = func(ctx context.Context, b *batch) ([]fvcache.MeasureResult, error) {
@@ -266,7 +266,7 @@ func TestDebugRequestsFiltersHTTP(t *testing.T) {
 	if !obs.Enabled {
 		t.Skip("telemetry compiled out")
 	}
-	_, ts := newTestService(t, Options{CoalesceWindow: time.Millisecond})
+	_, ts := newTestService(t, Options{})
 	postJSON(t, ts.URL+"/v1/measure", `{"workload":"goboard","scale":"test"}`)
 	postJSON(t, ts.URL+"/v1/measure", `{"workload":"bad-workload"}`)
 
